@@ -18,23 +18,50 @@ Checkpoint/contract behaviour (Sections 3 and 4):
   captured by a nested contract, and restored directly on resume so the
   joins already performed before the target cursor are *skipped*
   (Section 3.3's skipping discussion uses exactly this operator).
+
+Join probe. At a pass's first inner probe the operator builds a hash
+index from each buffered row's left key to the ascending buffer positions
+holding it. The row and batch paths share one probe: look up the inner
+row's right key, then bisect for the first position at or after the
+cursor.
+
+- Comparisons are off the virtual clock: a pass costs the inner tuples
+  consumed plus the rows output. The probe is a wall-clock-only change —
+  rows, their order, the cursor and inner tuple at every stop point, and
+  every charge are those of a scan of the whole buffer.
+- Keys join when they are ``==``. For the engine's int, float and str
+  keys, ``==`` keys hash equally and a dict hit also requires ``==``,
+  so a lookup finds exactly the ``==`` matches (``1`` joins ``1.0``).
+  NaN is ``==`` to nothing, itself included, but a dict would match a
+  NaN object to itself by identity: NaN keys are never indexed, so a NaN
+  probe finds nothing.
+- The index is derived state, never heap state. It is absent from
+  ``heap_pages()``, checkpoints, dumps and images, and is dropped
+  whenever the buffer is discarded or replaced.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from bisect import bisect_left
+from typing import Optional, Sequence
 
 from repro.common.errors import ContractError
 from repro.core.suspended_query import OpSuspendEntry
 from repro.engine.base import Operator, Row
 from repro.engine.runtime import ResumeContext, Runtime
-from repro.relational.expressions import EquiJoinCondition, compile_join_matches
+from repro.relational.expressions import (
+    EquiJoinCondition,
+    compile_left_key,
+    compile_right_key,
+)
 from repro.storage.disk import add_each
 
 PHASE_FILL = "fill"
 PHASE_JOIN = "join"
 PHASE_DONE = "done"
+
+_NO_POSITIONS: tuple[int, ...] = ()
 
 
 class BlockNLJ(Operator):
@@ -71,6 +98,10 @@ class BlockNLJ(Operator):
         #: Completed join passes; lets a GoBack that restores an older
         #: checkpoint skip whole intervening passes during roll-forward.
         self.passes = 0
+        #: Per-pass join index: left key -> ascending buffer positions.
+        #: Built at the pass's first probe; None until then.
+        self._index: Optional[dict] = None
+        self._right_key = compile_right_key(condition)
 
     @property
     def outer(self) -> Operator:
@@ -95,40 +126,55 @@ class BlockNLJ(Operator):
             if self.phase == PHASE_DONE:
                 return None
             if self.phase == PHASE_FILL:
-                self._fill_buffer()
-                if not self.buffer:
-                    self.phase = PHASE_DONE
+                self._start_pass()
+                if self.phase == PHASE_DONE:
                     return None
-                self.inner.rewind()
-                self.inner_row = None
-                self.cursor = 0
-                self.phase = PHASE_JOIN
             row = self._join_step()
             if row is not None:
                 return row
-            if self.phase == PHASE_JOIN:
-                # Pass complete: discard the buffer. This is the
-                # minimal-heap-state point.
-                self.buffer = []
-                self.cursor = 0
-                self.inner_row = None
-                self.passes += 1
-                if self.outer_exhausted:
-                    self.phase = PHASE_DONE
-                    return None
-                self.make_checkpoint()
-                self.phase = PHASE_FILL
+            self._end_pass()
+
+    def _start_pass(self) -> None:
+        """Fill the buffer (row-exact outer pulls) and rewind the inner
+        child; with nothing left to buffer the join is done."""
+        self._fill_buffer()
+        if not self.buffer:
+            self.phase = PHASE_DONE
+            return
+        self.inner.rewind()
+        self.inner_row = None
+        self.cursor = 0
+        self.phase = PHASE_JOIN
+
+    def _end_pass(self) -> None:
+        """Pass complete: discard the buffer. This is the minimal-heap-state
+        point, checkpointed unless the outer child is exhausted."""
+        self._set_buffer([])
+        self.cursor = 0
+        self.inner_row = None
+        self.passes += 1
+        if self.outer_exhausted:
+            self.phase = PHASE_DONE
+            return
+        self.make_checkpoint()
+        self.phase = PHASE_FILL
+
+    def _set_buffer(self, rows: list) -> None:
+        """Replace the outer buffer, dropping the index derived from it."""
+        self.buffer = rows
+        self._index = None
 
     def _next_batch_fast(self, max_rows: int) -> list:
-        """Vectorized inner loop: compiled join condition, hoisted buffer
-        scan, and same-constant CPU charges folded between inner pulls.
+        """Vectorized inner loop: one index probe per inner row, its matches
+        emitted as a slice, and same-constant CPU charges folded between
+        inner pulls.
 
         Inner pulls (which may read pages) flush the pending CPU run
         first, keeping the charge order across I/O events identical to
         the row path. A pass boundary ends a non-empty batch with the
-        state of the last emitted row persisted — the tail scan and the
-        exhausted inner pull are chargeless and side-effect-free, so the
-        next call replays them and fires the end-of-pass checkpoint at
+        state of the last emitted row persisted — the remaining probe and
+        the exhausted inner pull are chargeless and side-effect-free, so
+        the next call replays them and fires the end-of-pass checkpoint at
         the row path's exact instant.
         """
         if self._pending_rows:
@@ -136,9 +182,9 @@ class BlockNLJ(Operator):
         disk = self.rt.disk
         c = disk.cost_model.cpu_tuple_cost
         charge_each = disk.charge_cpu_tuples_each
-        matches = compile_join_matches(self.condition)
+        probe = self._probe
         out: list = []
-        append = out.append
+        extend = out.extend
         need = max_rows
         crun = 0
         while need > 0:
@@ -149,14 +195,9 @@ class BlockNLJ(Operator):
                     charge_each(crun)
                     self.work = add_each(self.work, c, crun)
                     crun = 0
-                self._fill_buffer()  # row-exact outer pulls
-                if not self.buffer:
-                    self.phase = PHASE_DONE
+                self._start_pass()
+                if self.phase == PHASE_DONE:
                     break
-                self.inner.rewind()
-                self.inner_row = None
-                self.cursor = 0
-                self.phase = PHASE_JOIN
             buffer = self.buffer
             nbuf = len(buffer)
             inner_next = self.inner.next
@@ -178,22 +219,21 @@ class BlockNLJ(Operator):
                     crun += 1  # the row path's inner-consume charge
                     inner_row = nxt
                     cursor = 0
-                while cursor < nbuf:
-                    outer_row = buffer[cursor]
-                    cursor += 1
-                    if matches(outer_row, inner_row):
-                        append(outer_row + inner_row)
-                        self.tuples_emitted += 1
-                        crun += 1  # the wrapper charge
-                        need -= 1
-                        last_cursor = cursor
-                        last_inner = inner_row
-                        if need == 0:
-                            break
-                if need == 0:
-                    break
-                if cursor >= nbuf:
-                    inner_row = None
+                positions, i = probe(inner_row, cursor)
+                end = min(len(positions), i + need)
+                if i < end:
+                    extend([buffer[p] + inner_row for p in positions[i:end]])
+                    emitted = end - i
+                    self.tuples_emitted += emitted
+                    crun += emitted  # the wrapper charges
+                    need -= emitted
+                    cursor = positions[end - 1] + 1
+                    last_cursor = cursor
+                    last_inner = inner_row
+                    if need == 0:
+                        break
+                cursor = nbuf
+                inner_row = None
             if pass_done and out:
                 # Rows were produced this batch (necessarily from this
                 # pass: any earlier boundary ended the batch); persist the
@@ -205,17 +245,9 @@ class BlockNLJ(Operator):
             self.inner_row = inner_row
             self.cursor = cursor
             if pass_done:
-                # The row path's end-of-pass transition, verbatim (crun is
-                # zero: it was flushed before the exhausted inner pull).
-                self.buffer = []
-                self.cursor = 0
-                self.inner_row = None
-                self.passes += 1
-                if self.outer_exhausted:
-                    self.phase = PHASE_DONE
-                    break
-                self.make_checkpoint()
-                self.phase = PHASE_FILL
+                # The row path's end-of-pass transition (crun is zero: it
+                # was flushed before the exhausted inner pull).
+                self._end_pass()
                 continue
             break  # need == 0
         if crun:
@@ -243,12 +275,39 @@ class BlockNLJ(Operator):
                 self.charge_cpu(1)
                 self.inner_row = inner
                 self.cursor = 0
-            while self.cursor < len(self.buffer):
-                outer_row = self.buffer[self.cursor]
-                self.cursor += 1
-                if self.condition.matches(outer_row, self.inner_row):
-                    return outer_row + self.inner_row
+            positions, i = self._probe(self.inner_row, self.cursor)
+            if i < len(positions):
+                p = positions[i]
+                self.cursor = p + 1
+                return self.buffer[p] + self.inner_row
+            self.cursor = len(self.buffer)
             self.inner_row = None
+
+    def _probe(self, inner_row: Row, cursor: int) -> tuple[Sequence[int], int]:
+        """The ascending buffer positions whose rows join ``inner_row``,
+        and the index in that list of the first position >= ``cursor``."""
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
+        positions = index.get(self._right_key(inner_row), _NO_POSITIONS)
+        return positions, (bisect_left(positions, cursor) if cursor else 0)
+
+    def _build_index(self) -> dict:
+        left_key = compile_left_key(self.condition)
+        index: dict = {}
+        for pos, row in enumerate(self.buffer):
+            key = left_key(row)
+            if key != key:
+                continue  # NaN: never == to anything, so it never joins
+            positions = index.get(key)
+            if positions is None:
+                index[key] = [pos]
+            else:
+                positions.append(pos)
+        return index
+
+    def _do_close(self) -> None:
+        self._index = None
 
     # ------------------------------------------------------------------
     # State introspection
@@ -301,7 +360,7 @@ class BlockNLJ(Operator):
             # Contract signed while joining the current pass: the buffer
             # has not changed since, and resume replays the join from the
             # contract's cursor and inner tuple.
-            self.buffer = list(rows[: target["fill"]])
+            self._set_buffer(list(rows[: target["fill"]]))
             self._restore_control(target)
             self.outer_exhausted = current["outer_exhausted"]
         else:
@@ -309,7 +368,7 @@ class BlockNLJ(Operator):
             # point): keep the full dumped buffer, let the fill complete
             # from the outer child's current position, and replay the
             # whole pass's join output.
-            self.buffer = list(rows)
+            self._set_buffer(list(rows))
             self.phase = PHASE_FILL
             self.cursor = 0
             self.inner_row = None
@@ -324,10 +383,10 @@ class BlockNLJ(Operator):
         if ckpt.get("__full_state__"):
             # Post-resume full-state checkpoint: restore its heap and
             # control, then keep rolling forward to the target below.
-            self.buffer = list(ckpt["heap"] or [])
+            self._set_buffer(list(ckpt["heap"] or []))
             self._restore_control(ckpt["control"])
         else:
-            self.buffer = []
+            self._set_buffer([])
             self.outer_exhausted = False
             self.passes = ckpt.get("passes", 0)
         # Skip whole passes between the checkpoint and the target (only

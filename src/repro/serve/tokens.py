@@ -146,7 +146,11 @@ class TokenManager:
 
     # -- ledger --------------------------------------------------------
     def redeemed(self) -> set:
-        """The set of redeemed token strings (cached after first read)."""
+        """A copy of the set of redeemed token strings."""
+        return set(self._ledger())
+
+    def _ledger(self) -> set:
+        """The cached set of redeemed token strings (read once from disk)."""
         if self._redeemed is None:
             entries = set()
             if os.path.exists(self._ledger_path):
@@ -162,7 +166,7 @@ class TokenManager:
                             # resume it would have recorded never ran.
                             continue
             self._redeemed = entries
-        return set(self._redeemed)
+        return self._redeemed
 
     def _mark_redeemed(self, token: ContinuationToken, text: str) -> None:
         created = not os.path.exists(self._ledger_path)
@@ -218,7 +222,7 @@ class TokenManager:
         """
         token = ContinuationToken.decode(text)
         canonical = token.encode()
-        if canonical in self.redeemed():
+        if canonical in self._ledger():
             raise TokenRedeemedError(
                 f"token for {token.query!r} (image {token.image_id}) was "
                 "already redeemed; a continuation may be resumed only once"

@@ -1,12 +1,17 @@
 """Unit tests for block nested-loop join: execution, checkpoints, skipping."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Database, QuerySession, SuspendSpec
 from repro.common.errors import ReproError
+from repro.engine.config import EngineConfig
 from repro.engine.plan import FilterSpec, NLJSpec, ScanSpec, SortSpec
 from repro.relational.datagen import BASE_SCHEMA, generate_uniform_table
 from repro.relational.expressions import EquiJoinCondition, UniformSelect
+from repro.relational.schema import Schema
 
 from tests.conftest import (
     make_small_db,
@@ -70,6 +75,93 @@ class TestBlockNLJExecution:
         db = make_small_db()
         with pytest.raises(ValueError):
             QuerySession(db, tiny_nlj_plan(buffer_tuples=0))
+
+
+def keyed_join(outer_keys, inner_keys, batch: bool, modulus: int = 0):
+    """Rows of NLJ(scan L, scan R) on column 0 over hand-built keys."""
+    schema = Schema.of(["k", "v"])
+    db = Database()
+    db.create_table("L", schema, [(k, i) for i, k in enumerate(outer_keys)])
+    db.create_table("R", schema, [(k, i) for i, k in enumerate(inner_keys)])
+    plan = NLJSpec(
+        outer=ScanSpec("L"),
+        inner=ScanSpec("R"),
+        condition=EquiJoinCondition(0, 0, modulus=modulus),
+        buffer_tuples=2,
+    )
+    config = EngineConfig(batch_execution=batch)
+    return QuerySession(db, plan, config=config).execute().rows
+
+
+class TestJoinKeys:
+    """Join keys match exactly when they are ``==``."""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize("modulus", [0, 3])
+    def test_nan_keys_never_join(self, batch, modulus):
+        nan = float("nan")
+        # The same NaN object on both sides must not join either.
+        rows = keyed_join(
+            [nan, 1.0, float("nan")], [nan, 1.0, nan], batch, modulus
+        )
+        assert rows == [(1.0, 1, 1.0, 1)]
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_int_joins_equal_float(self, batch):
+        rows = keyed_join([1, 2, 0.0], [1.0, 2.0, 1, -0.0], batch)
+        assert rows == [
+            (1, 0, 1.0, 0),
+            (2, 1, 2.0, 1),
+            (1, 0, 1, 2),
+            (0.0, 2, -0.0, 3),
+        ]
+        assert [type(r[2]) for r in rows] == [float, float, int, float]
+
+
+class _WeakList(list):
+    """A list that accepts weak references."""
+
+
+class TestJoinIndex:
+    """The per-pass join index is derived state, never heap state."""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_old_buffer_freed_when_its_pass_ends(self, batch):
+        db = make_small_db()
+        session = QuerySession(
+            db, tiny_nlj_plan(selectivity=1.0, buffer_tuples=100)
+        )
+        session.execute(max_rows=1)
+        nlj = session.op_named("nlj")
+        assert nlj.passes == 0 and nlj.buffer_fill() == 100
+        # Same rows, same positions: the pass's index stays valid.
+        nlj.buffer = _WeakList(nlj.buffer)
+        old = weakref.ref(nlj.buffer)
+        if batch:
+            while nlj.passes == 0:
+                session.execute(max_rows=7)
+        else:
+            session.execute(suspend_when=lambda rt: nlj.passes >= 1)
+            # Stopped at the next pass's first outer pull: nothing of
+            # the old pass, index included, is left.
+            assert nlj._index is None
+        gc.collect()
+        assert old() is None
+
+    def test_memory_in_use_ignores_the_index(self):
+        db = make_small_db()
+        session = QuerySession(
+            db, tiny_nlj_plan(selectivity=1.0, buffer_tuples=150)
+        )
+        nlj = session.op_named("nlj")
+        # Stops inside the first inner pull: buffer full, no probe yet.
+        session.execute(suspend_when=lambda rt: nlj.phase == "join")
+        assert nlj._index is None
+        before = session.memory_in_use()
+        assert before > 0
+        session.execute(max_rows=1)
+        assert nlj._index is not None and nlj.buffer_fill() == 150
+        assert session.memory_in_use() == before
 
 
 class TestNLJCheckpoints:

@@ -113,6 +113,22 @@ class TestTokenManagerLifecycle:
         with pytest.raises(TokenRedeemedError):
             TokenManager(ImageStore(str(tmp_path))).redeem(text)
 
+    def test_redeemed_returns_a_copy(self, tmp_path):
+        """Mutating ``redeemed()``'s result cannot un-redeem a token."""
+        store = ImageStore(str(tmp_path))
+        commit_image(store, "img-1")
+        manager = TokenManager(store)
+        text = manager.issue("q1", "img-1", 1)
+        manager.redeem(text)
+        view = manager.redeemed()
+        assert text in view
+        view.clear()
+        assert text in manager.redeemed()
+        with pytest.raises(TokenRedeemedError):
+            manager.redeem(text)
+        with pytest.raises(TokenRedeemedError):
+            TokenManager(ImageStore(str(tmp_path))).redeem(text)
+
     def test_redeem_after_gc_is_a_clean_typed_error(self, tmp_path):
         store = ImageStore(str(tmp_path))
         commit_image(store, "img-1")
